@@ -112,17 +112,13 @@ func NewCluster(cfg Config, gen workload.Generator) *Cluster {
 // step of Figure 3: replay a workload sample, select the hot-set and
 // compute the data layout. Loading the switch registers is the P4DB
 // engine's Prepare step.
+//
+// Each piece of the preparation is done once: detection projects the
+// sample onto the hot set a single time and keeps the projections the
+// access graph was built from, and layout refinement replays those
+// instead of the raw sample.
 func (c *Cluster) detect() {
-	sampleRNG := sim.NewRNG(c.cfg.Seed ^ 0x5EED)
-	samples := make([][]hotset.Access, 0, c.cfg.SampleTxns)
-	for i := 0; i < c.cfg.SampleTxns; i++ {
-		txn := c.gen.Next(sampleRNG, netsim.NodeID(i%c.cfg.Nodes))
-		accs := make([]hotset.Access, len(txn.Ops))
-		for j, op := range txn.Ops {
-			accs[j] = hotset.Access{Key: op.TupleKey(), DependsOn: op.DependsOn}
-		}
-		samples = append(samples, accs)
-	}
+	samples := sampleTxns(c.gen, c.cfg.Seed, c.cfg.SampleTxns, c.cfg.Nodes)
 	cap := c.cfg.Switch.Capacity()
 	if c.cfg.HotSetCap > 0 && c.cfg.HotSetCap < cap {
 		cap = c.cfg.HotSetCap
@@ -156,13 +152,29 @@ func (c *Cluster) detect() {
 		if c.cfg.RandomLayout {
 			l = layout.Random(hs.Graph(), spec, sim.NewRNG(c.cfg.Seed^0xBAD))
 		} else {
-			l = refineLayout(hs, samples, spec)
+			l = refineLayout(hs, spec)
 		}
 		return &detectArtifacts{hotLabel: hotLabel, layout: l, hotIdx: hotset.BuildIndex(hs, l)}
 	})
 	c.ctx.HotLabel = art.hotLabel
 	c.ctx.Layout = art.layout
 	c.ctx.HotIdx = art.hotIdx
+}
+
+// sampleTxns draws the offline detection sample: n transactions from the
+// generator's seeded sample stream, issued round-robin from every node.
+func sampleTxns(gen workload.Generator, seed uint64, n, nodes int) [][]hotset.Access {
+	rng := sim.NewRNG(seed ^ 0x5EED)
+	samples := make([][]hotset.Access, 0, n)
+	for i := 0; i < n; i++ {
+		txn := gen.Next(rng, netsim.NodeID(i%nodes))
+		accs := make([]hotset.Access, len(txn.Ops))
+		for j, op := range txn.Ops {
+			accs[j] = hotset.Access{Key: op.TupleKey(), DependsOn: op.DependsOn}
+		}
+		samples = append(samples, accs)
+	}
+	return samples
 }
 
 // refineLayout is the profile-guided step of the layout algorithm: the
@@ -172,44 +184,68 @@ func (c *Cluster) detect() {
 // would force a multi-pass execution), reinforce those edges and re-solve.
 // A few iterations drive the single-pass fraction to (nearly) one, which
 // is the declustered storage model's stated goal (Section 4.2).
-func refineLayout(hs *hotset.HotSet, samples [][]hotset.Access, spec layout.Spec) *layout.Layout {
+//
+// The replay walks the hot-set's retained projections: a transaction with
+// fewer than two hot accesses cannot collide, and the projections are
+// the same on every pass, so nothing is projected or allocated per
+// transaction.
+func refineLayout(hs *hotset.HotSet, spec layout.Spec) *layout.Layout {
 	g := hs.Graph()
 	l := layout.Optimal(g, spec)
 	for iter := 0; iter < 4; iter++ {
-		collisions := 0
-		for _, txn := range samples {
-			kept := hs.Restrict(txn)
-			if len(kept) < 2 {
-				continue
-			}
-			// Group the transaction's distinct tuples by register array;
-			// two distinct tuples in one array cannot both execute in a
-			// single pass.
-			byArray := make(map[[2]uint8]layout.TupleID, len(kept))
-			for _, a := range kept {
-				s, ok := l.SlotOf(a.Tuple)
-				if !ok {
-					continue
-				}
-				arr := [2]uint8{s.Stage, s.Array}
-				if prev, clash := byArray[arr]; clash && prev != a.Tuple {
-					collisions++
-					// Reinforce the separating edge well above the
-					// sampled co-access weights.
-					for b := 0; b < 8; b++ {
-						g.AddTxn([]layout.Access{{Tuple: prev, DependsOn: -1}, {Tuple: a.Tuple, DependsOn: -1}})
-					}
-				} else {
-					byArray[arr] = a.Tuple
-				}
-			}
-		}
-		if collisions == 0 {
+		if reinforceCollisions(g, hs.Projections(), l) == 0 {
 			break
 		}
 		l = layout.Optimal(g, spec)
 	}
 	return l
+}
+
+// reinforceCollisions is one refinement pass: it replays the projections
+// against l and reinforces the access graph wherever two distinct tuples
+// of one transaction share a register array (they cannot both execute in
+// a single pass). It returns the number of collisions found.
+func reinforceCollisions(g *layout.Graph, p *hotset.Projections, l *layout.Layout) (collisions int) {
+	// array[id] is hot tuple id's register array as stage<<8|array, or -1
+	// when l leaves the tuple off the switch.
+	array := make([]int32, p.NumTuples())
+	for id := range array {
+		array[id] = -1
+		if s, ok := l.SlotOf(p.Tuple(int32(id))); ok {
+			array[id] = int32(s.Stage)<<8 | int32(s.Array)
+		}
+	}
+	// held lists the arrays the current transaction occupies, each with
+	// the first tuple seen in it; there is at most one entry per array.
+	type holder struct{ array, id int32 }
+	held := make([]holder, 0, l.Spec().NumArrays())
+	for i := 0; i < p.Len(); i++ {
+		held = held[:0]
+	accesses:
+		for _, id := range p.Txn(i) {
+			arr := array[id]
+			if arr < 0 {
+				continue
+			}
+			for _, h := range held {
+				if h.array != arr {
+					continue
+				}
+				if h.id != id {
+					collisions++
+					// Reinforce the separating edge well above the
+					// sampled co-access weights.
+					pair := [2]layout.Access{{Tuple: p.Tuple(h.id), DependsOn: -1}, {Tuple: p.Tuple(id), DependsOn: -1}}
+					for b := 0; b < 8; b++ {
+						g.AddTxn(pair[:])
+					}
+				}
+				continue accesses
+			}
+			held = append(held, holder{arr, id})
+		}
+	}
+	return collisions
 }
 
 // Env returns the cluster's simulation environment.

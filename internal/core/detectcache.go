@@ -84,12 +84,20 @@ func ResetDetectCacheStats() { detectStats.Reset() }
 // the layout mode and the seed (the random-layout RNG derives from it).
 // SHA-256 makes an accidental collision practically impossible, so a cache
 // hit is as trustworthy as recomputing.
+//
+// The key is hashed on every cluster build, hit or miss, over two words
+// per sampled access, so the words are encoded into a reusable buffer and
+// hashed a chunk at a time rather than one Write per word. The byte stream, and so the key, is the same either way: each
+// value as one little-endian 64-bit word, in the order written below.
 func detectKey(cfg Config, samples [][]hotset.Access, cap int) [32]byte {
 	h := sha256.New()
-	var buf [8]byte
-	w64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
+	buf := make([]byte, 0, detectKeyChunk)
+	w64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
+	flush := func() {
+		if len(buf) >= detectKeyChunk {
+			h.Write(buf)
+			buf = buf[:0]
+		}
 	}
 	w64(cfg.Seed)
 	w64(uint64(cap))
@@ -104,6 +112,7 @@ func detectKey(cfg Config, samples [][]hotset.Access, cap int) [32]byte {
 	w64(uint64(len(cfg.ExplicitHot)))
 	for _, k := range cfg.ExplicitHot {
 		w64(uint64(k))
+		flush()
 	}
 	for _, txn := range samples {
 		w64(uint64(len(txn)))
@@ -111,11 +120,16 @@ func detectKey(cfg Config, samples [][]hotset.Access, cap int) [32]byte {
 			w64(uint64(a.Key))
 			w64(uint64(int64(a.DependsOn)))
 		}
+		flush()
 	}
+	h.Write(buf)
 	var key [32]byte
 	h.Sum(key[:0])
 	return key
 }
+
+// detectKeyChunk is how many bytes detectKey buffers before hashing them.
+const detectKeyChunk = 16 << 10
 
 // getDetect returns the artifacts for key, computing them with compute on
 // a miss. Concurrent callers with the same key share one computation.

@@ -3,6 +3,7 @@ package hotset
 import (
 	"testing"
 
+	"repro/internal/layout"
 	"repro/internal/sim"
 	"repro/internal/store"
 )
@@ -105,17 +106,42 @@ func TestFromKeysBuildsGraph(t *testing.T) {
 }
 
 func TestRestrictRemapsDeps(t *testing.T) {
-	samples := [][]Access{{{Key: k(1), DependsOn: -1}}}
-	h := FromKeys([]store.GlobalKey{k(1), k(2)}, samples, 10)
-	kept := h.Restrict([]Access{
+	txn := []Access{
 		{Key: k(9), DependsOn: -1}, // dropped (cold)
 		{Key: k(1), DependsOn: 0},  // dep through cold -> -1
 		{Key: k(2), DependsOn: 1},  // dep on kept -> index 0
-	})
-	if len(kept) != 2 {
-		t.Fatalf("kept = %v", kept)
+	}
+	samples := [][]Access{txn, {{Key: k(1), DependsOn: -1}}, {{Key: k(2), DependsOn: -1}, {Key: k(2), DependsOn: 0}}}
+	h := FromKeys([]store.GlobalKey{k(1), k(2)}, samples, 10)
+
+	var remap []int
+	kept, ids := restrictInto(h.ids, txn, nil, nil, &remap)
+	if len(kept) != 2 || len(ids) != 2 {
+		t.Fatalf("kept = %v, ids = %v", kept, ids)
 	}
 	if kept[0].DependsOn != -1 || kept[1].DependsOn != 0 {
 		t.Fatalf("deps not remapped: %v", kept)
+	}
+
+	// The retained projections are the ones with at least two hot
+	// accesses, in sample order, as dense ids of the kept tuples.
+	p := h.Projections()
+	if p.Len() != 2 || p.NumTuples() != 2 {
+		t.Fatalf("projections = %d over %d tuples, want 2 over 2", p.Len(), p.NumTuples())
+	}
+	want := [][]layout.TupleID{
+		{layout.TupleID(k(1)), layout.TupleID(k(2))},
+		{layout.TupleID(k(2)), layout.TupleID(k(2))},
+	}
+	for i, w := range want {
+		got := p.Txn(i)
+		if len(got) != len(w) {
+			t.Fatalf("projection %d = %v, want %v", i, got, w)
+		}
+		for j, id := range got {
+			if p.Tuple(id) != w[j] {
+				t.Fatalf("projection %d access %d = tuple %v, want %v", i, j, p.Tuple(id), w[j])
+			}
+		}
 	}
 }

@@ -4,8 +4,9 @@
 // Detection replays a representative sample of the workload statement by
 // statement, counts per-tuple access frequencies, and selects the most
 // frequently accessed tuples as the hot-set (bounded by the switch
-// capacity). The same sample, restricted to the selected tuples, yields
-// the transaction-access graph the declustered layout is computed from.
+// capacity). The same sample, restricted to the selected tuples once,
+// yields the transaction-access graph the declustered layout is computed
+// from and the projections its refinement replays.
 //
 // At runtime every database node holds an Index replica: a small map from
 // tuple key to its switch slot. It is consulted on every transaction to
@@ -30,10 +31,40 @@ type Access struct {
 
 // HotSet is the result of offline detection.
 type HotSet struct {
-	keys  map[store.GlobalKey]struct{}
+	ids   map[store.GlobalKey]int32 // hot tuple -> dense id (index into proj.tuples)
 	freq  map[store.GlobalKey]int64
 	graph *layout.Graph
+	proj  Projections
 }
+
+// Projections are the sampled transactions restricted to the hot set,
+// keeping those with at least two hot accesses: exactly the projections
+// folded into the access graph, retained so layout refinement can replay
+// them without projecting the sample again. Accesses are dense hot-tuple
+// ids, stored back to back in one buffer.
+type Projections struct {
+	tuples []layout.TupleID // dense id -> tuple, in selection order
+	ids    []int32          // every projection's dense ids, concatenated
+	ends   []int32          // ends[i]: end offset of projection i in ids
+}
+
+// Len returns the number of retained projections.
+func (p *Projections) Len() int { return len(p.ends) }
+
+// Txn returns projection i's dense tuple ids, in statement order.
+func (p *Projections) Txn(i int) []int32 {
+	start := int32(0)
+	if i > 0 {
+		start = p.ends[i-1]
+	}
+	return p.ids[start:p.ends[i]]
+}
+
+// NumTuples returns the number of dense ids (the hot-set size).
+func (p *Projections) NumTuples() int { return len(p.tuples) }
+
+// Tuple maps a dense id back to its tuple.
+func (p *Projections) Tuple(id int32) layout.TupleID { return p.tuples[id] }
 
 // countFreq tallies per-tuple access frequencies over the sample.
 func countFreq(samples [][]Access) map[store.GlobalKey]int64 {
@@ -52,12 +83,11 @@ func countFreq(samples [][]Access) map[store.GlobalKey]int64 {
 // subset to the graph (those are exactly the switch sub-transactions warm
 // transactions will run).
 func Detect(samples [][]Access, topK int) *HotSet {
-	return detectTop(countFreq(samples), samples, topK)
+	freq := countFreq(samples)
+	order := rankFreqs(freq, 0)
+	return build(freq, order[:min(topK, len(order))], samples)
 }
 
-// detectTop is Detect with the frequency tally already computed (DetectAuto
-// needs the tally itself to find the hot/cold gap; recounting the whole
-// sample for the selection pass would double the detection cost).
 // kf pairs a tuple with its sampled frequency for the detection sorts.
 // kfCompare orders by descending frequency, ascending key on ties — the
 // exact total order the detectors have always used.
@@ -76,44 +106,55 @@ func kfCompare(a, b kf) int {
 	return cmp.Compare(a.k, b.k)
 }
 
-func detectTop(freq map[store.GlobalKey]int64, samples [][]Access, topK int) *HotSet {
-	order := make([]kf, 0, len(freq))
-	for k, f := range freq {
-		order = append(order, kf{k, f})
-	}
-	slices.SortFunc(order, kfCompare)
-	if topK > len(order) {
-		topK = len(order)
-	}
+// build makes the hot-set of the selected tuples (in selection order,
+// duplicates ignored) and projects the sample onto it once: every
+// projection with at least two accesses is folded into the access graph
+// and retained for layout refinement.
+func build(freq map[store.GlobalKey]int64, selected []kf, samples [][]Access) *HotSet {
 	h := &HotSet{
-		keys:  make(map[store.GlobalKey]struct{}, topK),
+		ids:   make(map[store.GlobalKey]int32, len(selected)),
 		freq:  freq,
 		graph: layout.NewGraph(),
 	}
-	for _, e := range order[:topK] {
-		h.keys[e.k] = struct{}{}
+	// The hot tuples' sampled frequencies sum to every hot access in the
+	// sample, an upper bound on what the projections keep, and each kept
+	// projection holds at least two of them: both buffers are allocated
+	// once.
+	var hotAccesses int64
+	for _, e := range selected {
+		if _, dup := h.ids[e.k]; dup {
+			continue
+		}
+		h.ids[e.k] = int32(len(h.proj.tuples))
+		h.proj.tuples = append(h.proj.tuples, layout.TupleID(e.k))
 		h.graph.AddTuple(layout.TupleID(e.k))
+		hotAccesses += freq[e.k]
 	}
-
-	// Second pass: fold the hot subsets of all sampled transactions into
-	// the access graph, remapping dependency indices to the kept subset.
-	// The projection buffers are reused across transactions; AddTxn does
-	// not retain its argument.
+	p := &h.proj
+	p.ids = make([]int32, 0, hotAccesses)
+	p.ends = make([]int32, 0, min(int64(len(samples)), hotAccesses/2))
+	// The access buffers are reused across transactions; AddTxn does not
+	// retain its argument.
 	var kept []layout.Access
 	var remap []int
 	for _, txn := range samples {
-		kept = restrictInto(h.keys, txn, kept[:0], &remap)
-		if len(kept) >= 2 {
-			h.graph.AddTxn(kept)
+		start := len(p.ids)
+		kept, p.ids = restrictInto(h.ids, txn, kept[:0], p.ids, &remap)
+		if len(kept) < 2 {
+			p.ids = p.ids[:start]
+			continue
 		}
+		h.graph.AddTxn(kept)
+		p.ends = append(p.ends, int32(len(p.ids)))
 	}
 	return h
 }
 
-// restrictInto projects txn onto the hot keys, appending to kept and using
-// *remap as scratch (grown on demand). Dependencies through dropped cold
-// accesses become independent.
-func restrictInto(hot map[store.GlobalKey]struct{}, txn []Access, kept []layout.Access, remap *[]int) []layout.Access {
+// restrictInto projects txn onto the hot keys, appending the kept
+// accesses to kept and their dense ids to ids, and using *remap as
+// scratch (grown on demand). Dependency indices are remapped to the kept
+// subset; dependencies through dropped cold accesses become independent.
+func restrictInto(hot map[store.GlobalKey]int32, txn []Access, kept []layout.Access, ids []int32, remap *[]int) ([]layout.Access, []int32) {
 	if cap(*remap) < len(txn) {
 		*remap = make([]int, len(txn))
 	}
@@ -122,7 +163,8 @@ func restrictInto(hot map[store.GlobalKey]struct{}, txn []Access, kept []layout.
 		rm[i] = -1
 	}
 	for i, a := range txn {
-		if _, ok := hot[a.Key]; !ok {
+		id, ok := hot[a.Key]
+		if !ok {
 			continue
 		}
 		dep := -1
@@ -131,8 +173,9 @@ func restrictInto(hot map[store.GlobalKey]struct{}, txn []Access, kept []layout.
 		}
 		rm[i] = len(kept)
 		kept = append(kept, layout.Access{Tuple: layout.TupleID(a.Key), DependsOn: dep})
+		ids = append(ids, id)
 	}
-	return kept
+	return kept, ids
 }
 
 // DetectAuto selects the hot-set without a preset size. Tuples sampled
@@ -147,19 +190,20 @@ func restrictInto(hot map[store.GlobalKey]struct{}, txn []Access, kept []layout.
 // (Figure 17's spill path).
 func DetectAuto(samples [][]Access, maxK int) *HotSet {
 	freq := countFreq(samples)
-	return detectTop(freq, samples, autoCut(rankFreqs(freq), maxK))
+	ranked := rankFreqs(freq, NoiseFloor)
+	return build(freq, ranked[:autoCut(ranked, maxK)], samples)
 }
 
 // NoiseFloor is the minimum sample tally for a key to count as a
 // detection candidate; rarer keys are sampling noise, never hot.
 const NoiseFloor = 3
 
-// rankFreqs filters the noise floor out of a tally and returns the
-// remainder in detection order (descending frequency, ascending key).
-func rankFreqs(freq map[store.GlobalKey]int64) []kf {
+// rankFreqs filters keys tallied below floor out of a tally and returns
+// the remainder in detection order (descending frequency, ascending key).
+func rankFreqs(freq map[store.GlobalKey]int64, floor int64) []kf {
 	kept := make([]kf, 0, len(freq))
 	for k, f := range freq {
-		if f >= NoiseFloor {
+		if f >= floor {
 			kept = append(kept, kf{k, f})
 		}
 	}
@@ -183,30 +227,16 @@ func autoCut(ranked []kf, maxK int) int {
 	return k
 }
 
-// SelectAuto applies DetectAuto's selection — noise floor, frequency
-// ranking, plateau cut, capacity cap — to an already-folded frequency
-// tally, and returns the selected keys in detection order. It is the
-// online half of detection: the adaptive layout controller folds its
-// sliding window into a tally and selects from it with exactly the
-// offline heuristic, so the two detectors agree on any common sample.
-func SelectAuto(freq map[store.GlobalKey]int64, maxK int) []store.GlobalKey {
-	ranked := rankFreqs(freq)
-	keys := make([]store.GlobalKey, autoCut(ranked, maxK))
-	for i := range keys {
-		keys[i] = ranked[i].k
-	}
-	return keys
-}
-
-// SelectTop is SelectAuto without the plateau cut: every key above the
-// noise floor, frequency-ranked, capped at maxK. Online re-detection uses
-// it because a sliding window holds orders of magnitude fewer samples
-// than the offline replay — a plateau cut calibrated for dense tallies
-// truncates a sparse one to its first handful of keys, while the
-// controller's sticky-resident policy already provides the stability the
-// cut exists to buy.
+// SelectTop applies DetectAuto's selection without the plateau cut to an
+// already-folded frequency tally: every key above the noise floor,
+// frequency-ranked, capped at maxK, in detection order. Online
+// re-detection uses it because a sliding window holds orders of magnitude
+// fewer samples than the offline replay — a plateau cut calibrated for
+// dense tallies truncates a sparse one to its first handful of keys,
+// while the controller's sticky-resident policy already provides the
+// stability the cut exists to buy.
 func SelectTop(freq map[store.GlobalKey]int64, maxK int) []store.GlobalKey {
-	ranked := rankFreqs(freq)
+	ranked := rankFreqs(freq, NoiseFloor)
 	if len(ranked) > maxK {
 		ranked = ranked[:maxK]
 	}
@@ -228,33 +258,12 @@ func FromKeys(keys []store.GlobalKey, samples [][]Access, maxK int) *HotSet {
 		decorated[i] = kf{k, freq[k]}
 	}
 	slices.SortFunc(decorated, kfCompare)
-	if maxK < len(decorated) {
-		decorated = decorated[:maxK]
-	}
-	sorted := make([]store.GlobalKey, len(decorated))
-	for i, e := range decorated {
-		sorted[i] = e.k
-	}
-	h := &HotSet{
-		keys:  make(map[store.GlobalKey]struct{}, len(sorted)),
-		freq:  freq,
-		graph: layout.NewGraph(),
-	}
-	for _, k := range sorted {
-		h.keys[k] = struct{}{}
-		h.graph.AddTuple(layout.TupleID(k))
-	}
-	for _, txn := range samples {
-		if kept := h.Restrict(txn); len(kept) >= 2 {
-			h.graph.AddTxn(kept)
-		}
-	}
-	return h
+	return build(freq, decorated[:min(maxK, len(decorated))], samples)
 }
 
 // Contains reports whether key was selected as hot.
 func (h *HotSet) Contains(k store.GlobalKey) bool {
-	_, ok := h.keys[k]
+	_, ok := h.ids[k]
 	return ok
 }
 
@@ -262,13 +271,13 @@ func (h *HotSet) Contains(k store.GlobalKey) bool {
 func (h *HotSet) Freq(k store.GlobalKey) int64 { return h.freq[k] }
 
 // Size returns the number of hot tuples.
-func (h *HotSet) Size() int { return len(h.keys) }
+func (h *HotSet) Size() int { return len(h.ids) }
 
 // Keys returns the hot tuples in deterministic (sorted) order.
 func (h *HotSet) Keys() []store.GlobalKey {
-	out := make([]store.GlobalKey, 0, len(h.keys))
-	for k := range h.keys {
-		out = append(out, k)
+	out := make([]store.GlobalKey, len(h.proj.tuples))
+	for i, t := range h.proj.tuples {
+		out[i] = store.GlobalKey(t)
 	}
 	slices.Sort(out)
 	return out
@@ -278,14 +287,9 @@ func (h *HotSet) Keys() []store.GlobalKey {
 // for the layout algorithm.
 func (h *HotSet) Graph() *layout.Graph { return h.graph }
 
-// Restrict projects a sampled transaction onto the hot-set, remapping
-// dependency indices to the kept subset (dependencies through dropped
-// cold accesses become independent). It is the same projection Detect
-// uses to build the access graph, exposed for layout refinement.
-func (h *HotSet) Restrict(txn []Access) []layout.Access {
-	var remap []int
-	return restrictInto(h.keys, txn, make([]layout.Access, 0, len(txn)), &remap)
-}
+// Projections returns the sample's retained hot projections, ready for
+// layout refinement.
+func (h *HotSet) Projections() *Projections { return &h.proj }
 
 // Index is the per-node replica of the hot-tuple index. It is small (a few
 // thousand entries) so on a real node it lives in CPU caches; here the map
